@@ -24,40 +24,36 @@ first (each shard returns to its own crash-consistent state), then the
 cluster journal on top (object moves re-executed against the restored
 shards) — see :func:`repro.cluster.persistence.resume_cluster`.
 
-Storage follows the scaling journal exactly: JSON lines, in-memory when
-``path=None``, flushed per record, optional fsync, torn final line
-tolerated on replay.
+Storage, replay and the write-time protocol checks are the scaling
+journal's own framing (:class:`~repro.server.journal.JsonlJournal`):
+JSON lines, in-memory when ``path=None``, flushed per record, optional
+fsync, torn final line tolerated on replay.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.core.operations import ScalingOp
-from repro.server.journal import JournalError
+from repro.server.journal import (
+    JournalCorruptionError,
+    JournalError,
+    JournalRecord,
+    JsonlJournal,
+)
 
+__all__ = [
+    "ClusterJournal",
+    "ClusterJournalCorruptionError",
+    "JournalError",
+    "ObjectMove",
+    "ReshardRecord",
+]
 
-class ClusterJournalCorruptionError(JournalError):
-    """A damaged record anywhere but the torn final line.
-
-    A torn *final* line is the expected crash artifact and is dropped
-    silently; a damaged *interior* record (unparseable JSON, or valid
-    JSON missing required fields) means the file itself was harmed —
-    truncation, bit rot, concurrent writers — and recovery must stop.
-    ``lineno`` names the 1-based damaged line so the operator can
-    inspect exactly where the journal went bad.
-    """
-
-    def __init__(self, lineno: int, reason: str):
-        super().__init__(
-            f"corrupt cluster journal line {lineno}: {reason}"
-        )
-        self.lineno = lineno
-        self.reason = reason
+#: The cluster-level name of
+#: :class:`~repro.server.journal.JournalCorruptionError`.
+ClusterJournalCorruptionError = JournalCorruptionError
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ class ObjectMove:
 
 
 @dataclass
-class ReshardRecord:
+class ReshardRecord(JournalRecord):
     """Everything the cluster journal knows about one rebalance.
 
     Attributes
@@ -105,47 +101,18 @@ class ReshardRecord:
     aborted: bool = False
     rebuild_of: Optional[int] = None
 
-    @property
-    def open(self) -> bool:
-        """Whether the rebalance is still in flight."""
-        return not (self.committed or self.aborted)
 
-    @property
-    def remaining(self) -> int:
-        """Planned migrations without an apply record."""
-        return len(self.plan) - len(self.applied)
-
-
-class ClusterJournal:
+class ClusterJournal(JsonlJournal):
     """Append-only intent/apply/commit journal for shard rebalances.
 
-    Parameters
-    ----------
-    path:
-        JSON-lines file to append to; ``None`` keeps records in memory
-        (same semantics, no durability).
-    fsync:
-        ``os.fsync`` after every record when True.
+    The :class:`~repro.server.journal.JsonlJournal` framing with
+    :class:`ReshardRecord` records over :class:`ObjectMove` plans and
+    ``cluster.journal.*`` obs metrics; see there for ``path`` and
+    ``fsync``.
     """
 
-    def __init__(self, path: str | Path | None = None, fsync: bool = False):
-        from repro.obs import NULL_OBS
+    obs_prefix = "cluster.journal."
 
-        self.path = Path(path) if path is not None else None
-        self.fsync = fsync
-        self.obs = NULL_OBS
-        self._records: list[dict] = []
-        self._fh = None
-        if self.path is not None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-
-    def attach_obs(self, obs) -> None:
-        """Attach an observability handle (records counted per type)."""
-        self.obs = obs
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def record_begin(
         self,
         seq: int,
@@ -166,12 +133,6 @@ class ClusterJournal:
         JournalError
             If another rebalance is still open.
         """
-        last = self._last_record()
-        if last is not None and last.open:
-            raise JournalError(
-                f"rebalance seq={last.seq} is still open; commit or abort "
-                "it before beginning another"
-            )
         record = {
             "type": "begin",
             "seq": seq,
@@ -186,170 +147,29 @@ class ClusterJournal:
         }
         if rebuild_of is not None:
             record["rebuild_of"] = rebuild_of
-        self._append(record)
+        self._write(record)
 
     def record_apply(self, seq: int, object_id: int) -> None:
         """Journal one landed object migration."""
-        self._require_open(seq, "apply")
-        self._append({"type": "apply", "seq": seq, "object": object_id})
+        self._write({"type": "apply", "seq": seq, "object": object_id})
 
-    def record_commit(self, seq: int) -> None:
-        """Journal completion of a rebalance."""
-        self._require_open(seq, "commit")
-        self._append({"type": "commit", "seq": seq})
+    # Defined on the class itself so per-class method wrappers (e.g.
+    # the perfbench tracer) see them.
+    record_commit = JsonlJournal.record_commit
+    record_abort = JsonlJournal.record_abort
 
-    def record_abort(self, seq: int) -> None:
-        """Journal rollback of a rebalance."""
-        self._require_open(seq, "abort")
-        self._append({"type": "abort", "seq": seq})
+    def _parse_begin(self, entry: dict) -> ReshardRecord:
+        return ReshardRecord(
+            seq=entry["seq"],
+            op=ScalingOp.from_dict(entry["op"]),
+            shards_before=entry["shards_before"],
+            shards_after=entry["shards_after"],
+            new_shard_ids=tuple(entry["new_shard_ids"]),
+            plan=tuple(
+                ObjectMove(gid, src, dst) for gid, src, dst in entry["plan"]
+            ),
+            rebuild_of=entry.get("rebuild_of"),
+        )
 
-    def _require_open(self, seq: int, what: str) -> None:
-        last = self._last_record()
-        if last is None or not last.open:
-            raise JournalError(f"{what} for seq={seq}: no open rebalance")
-        if last.seq != seq:
-            raise JournalError(
-                f"{what} for seq={seq} does not match the open rebalance "
-                f"seq={last.seq}"
-            )
-
-    def sync(self) -> None:
-        """Force the journal to stable storage (no-op in memory)."""
-        if self._fh is not None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Close the backing file (in-memory journals are unaffected)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "ClusterJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def replay(self) -> list[ReshardRecord]:
-        """Parse the journal into per-rebalance records, oldest first.
-
-        Raises
-        ------
-        ClusterJournalCorruptionError
-            On a damaged record anywhere but the final line — both
-            unparseable JSON and structurally incomplete records (a
-            torn final line is the expected crash artifact and is
-            dropped).
-        JournalError
-            On well-formed records that violate the protocol (apply
-            before begin, seq mismatches, unknown types).
-        """
-        records: list[ReshardRecord] = []
-        for lineno, entry in self._read_raw():
-            kind = entry.get("type")
-            if kind == "begin":
-                try:
-                    records.append(
-                        ReshardRecord(
-                            seq=entry["seq"],
-                            op=ScalingOp.from_dict(entry["op"]),
-                            shards_before=entry["shards_before"],
-                            shards_after=entry["shards_after"],
-                            new_shard_ids=tuple(entry["new_shard_ids"]),
-                            plan=tuple(
-                                ObjectMove(gid, src, dst)
-                                for gid, src, dst in entry["plan"]
-                            ),
-                            rebuild_of=entry.get("rebuild_of"),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ClusterJournalCorruptionError(
-                        lineno, f"damaged begin record ({exc!r})"
-                    )
-                continue
-            if not records:
-                raise JournalError(
-                    f"record {lineno}: {kind!r} before any 'begin'"
-                )
-            current = records[-1]
-            if entry.get("seq") != current.seq:
-                raise JournalError(
-                    f"record {lineno}: seq {entry.get('seq')} does not "
-                    f"match open rebalance seq {current.seq}"
-                )
-            if kind == "apply":
-                if not current.open:
-                    raise JournalError(
-                        f"record {lineno}: apply after commit/abort"
-                    )
-                try:
-                    current.applied.append(entry["object"])
-                except KeyError as exc:
-                    raise ClusterJournalCorruptionError(
-                        lineno, f"damaged apply record ({exc!r})"
-                    )
-            elif kind == "commit":
-                current.committed = True
-            elif kind == "abort":
-                current.aborted = True
-            else:
-                raise JournalError(f"record {lineno}: unknown type {kind!r}")
-        return records
-
-    def open_record(self) -> Optional[ReshardRecord]:
-        """The in-flight rebalance, if the journal ends mid-migration."""
-        records = self.replay()
-        if records and records[-1].open:
-            return records[-1]
-        return None
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        self._records.append(record)
-        if self.obs.enabled:
-            self.obs.inc("cluster.journal.records", type=record["type"])
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-
-    def _read_raw(self) -> list[tuple[int, dict]]:
-        """(1-based line number, parsed record) for every journal line.
-
-        Line numbers are file positions (blank lines counted), so the
-        typed corruption error names the line an editor would show.
-        """
-        if self.path is None:
-            return list(enumerate(self._records, start=1))
-        if not self.path.exists():
-            return []
-        entries: list[tuple[int, dict]] = []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                if lineno == len(lines):
-                    break  # torn final line: the crash artifact
-                raise ClusterJournalCorruptionError(
-                    lineno, f"unparseable record ({exc.msg})"
-                )
-        return entries
-
-    def _last_record(self) -> Optional[ReshardRecord]:
-        records = self.replay()
-        return records[-1] if records else None
-
-    def __repr__(self) -> str:
-        where = str(self.path) if self.path is not None else "memory"
-        return f"ClusterJournal({where}, records={len(self._read_raw())})"
+    def _parse_apply(self, entry: dict) -> int:
+        return entry["object"]

@@ -170,8 +170,14 @@ class ClusterReplicationManager:
         order).  Returns copies created.  No-op while the primary
         itself is unreachable — the rebuild owns that case, and
         repairing around a dead primary would strand its eventual new
-        home.
+        home.  An object no longer in the namespace (lost or removed) is
+        a :class:`ReplicationError`, not a bare ``KeyError``.
         """
+        if gid not in self.c._home:
+            raise ReplicationError(
+                f"object {gid} is not in the cluster namespace (lost or "
+                "removed); nothing to repair"
+            )
         target = self.target_of(gid)
         if target <= 1 and gid not in self.c._replica_home:
             return 0

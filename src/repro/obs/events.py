@@ -165,29 +165,25 @@ class EventLog:
     def read_jsonl(path: str | Path) -> list[Event]:
         """Parse a JSONL event file back into :class:`Event` records.
 
-        A torn final line (the crash-while-appending artifact, same as
-        the scaling journal's) is tolerated and dropped.
+        A torn final line (the crash-while-appending artifact) is
+        tolerated and dropped, by the journals' own reader
+        (:func:`repro.server.journal.read_jsonl`); damage anywhere else
+        raises ``ValueError``.
         """
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        events: list[Event] = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    break
-                raise ValueError(f"corrupt event log line {lineno}") from None
-            events.append(
+        from repro.server.journal import JournalCorruptionError, read_jsonl
+
+        try:
+            return [
                 Event(
                     seq=raw["seq"],
                     ts=raw["ts"],
                     kind=raw["kind"],
                     fields=raw.get("fields", {}),
                 )
-            )
-        return events
+                for _, raw in read_jsonl(Path(path))
+            ]
+        except JournalCorruptionError as exc:
+            raise ValueError(f"corrupt event log line {exc.lineno}") from None
 
     def __repr__(self) -> str:
         return (

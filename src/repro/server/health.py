@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.storage.array import DiskArray
 from repro.storage.block import BlockId
@@ -38,13 +38,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.faults import FaultInjector
 
 
-class DiskHealth(Enum):
-    """Serving-path health of one physical disk."""
+class HealthState(Enum):
+    """Serving-path health of one disk or shard."""
 
     HEALTHY = "healthy"
     SUSPECT = "suspect"
     DEAD = "dead"
     REBUILDING = "rebuilding"
+
+
+#: The disk-level name of :class:`HealthState`.
+DiskHealth = HealthState
 
 
 class CircuitBreaker:
@@ -168,21 +172,231 @@ class HealthTransitionError(Exception):
     """Raised on an illegal health-state transition."""
 
 
-class DiskHealthMonitor:
+class HealthMonitor:
+    """Tracks the health state and circuit breaker of every member.
+
+    One implementation for both layers: disks of an array
+    (:class:`DiskHealthMonitor`) and shards of a cluster
+    (:class:`~repro.cluster.health.ClusterHealthMonitor`).  Subclasses
+    set only what differs between them: the event-kind prefix, the
+    payload key naming a member, the member label in events, which ids
+    :meth:`snapshot` lists, and whether a rebuilt member may return to
+    healthy.
+
+    Parameters
+    ----------
+    trip_after / cooldown_rounds / max_cooldown_rounds:
+        Breaker tuning, applied to every member.
+    obs:
+        Optional observability handle; state transitions emit
+        ``health.transition`` events, breaker trips ``breaker.trip``
+        (with the post-trip cooldown) and closing probes
+        ``breaker.probe`` (each kind prefixed by :attr:`event_prefix`).
+    """
+
+    #: Prefix of every emitted event kind.
+    event_prefix = ""
+    #: Event payload key naming the member (also its noun in errors).
+    member_key = "member"
+    #: Whether ``REBUILDING -> HEALTHY`` is legal: a member rebuilt in
+    #: place returns to service; one evacuated elsewhere never does.
+    rebuilt_in_place = True
+
+    def __init__(
+        self,
+        trip_after: int = 3,
+        cooldown_rounds: int = 4,
+        max_cooldown_rounds: int = 64,
+        obs: Optional["ObsHandle"] = None,
+    ):
+        from repro.obs import NULL_OBS
+
+        self._trip_after = trip_after
+        self._cooldown = cooldown_rounds
+        self._max_cooldown = max_cooldown_rounds
+        self.obs = obs if obs is not None else NULL_OBS
+        self._states: dict[int, HealthState] = {}
+        self._breakers: dict[int, CircuitBreaker] = {}
+        #: Cumulative state-transition log: (member id, from, to).
+        self.transitions: list[tuple[int, HealthState, HealthState]] = []
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def state(self, member_id: int) -> HealthState:
+        """Current health state of a member (healthy until told otherwise)."""
+        return self._states.get(member_id, HealthState.HEALTHY)
+
+    def breaker(self, member_id: int) -> CircuitBreaker:
+        """The member's circuit breaker (created on first touch)."""
+        breaker = self._breakers.get(member_id)
+        if breaker is None:
+            breaker = CircuitBreaker(
+                self._trip_after, self._cooldown, self._max_cooldown
+            )
+            self._breakers[member_id] = breaker
+        return breaker
+
+    def is_live(self, member_id: int) -> bool:
+        """Whether the member holds readable data (not dead/rebuilding).
+
+        Suspect members are *live* — their copies still exist and the
+        breaker may re-admit them — they are just not currently
+        preferred.
+        """
+        return self.state(member_id) not in (
+            HealthState.DEAD,
+            HealthState.REBUILDING,
+        )
+
+    def is_readable(self, member_id: int, round_index: int) -> bool:
+        """Whether the serving path may read this member this round.
+
+        Dead and rebuilding members never serve; suspect members serve
+        only the breaker's half-open probe.
+        """
+        if self.state(member_id) in (HealthState.DEAD, HealthState.REBUILDING):
+            return False
+        return self.breaker(member_id).allows(round_index)
+
+    def serves_unimpeded(self, member_id: int) -> bool:
+        """Whether a successful read from this member needs no per-read
+        health machinery this round.
+
+        True when the member is healthy and its breaker (if one was
+        ever created) is quiescent: ``is_readable`` would be True and
+        ``observe_success`` would be a state no-op, so the vectorized
+        paths can serve all of the member's reads in one batch.
+        Deliberately does *not* create a breaker.
+        """
+        if self.state(member_id) is not HealthState.HEALTHY:
+            return False
+        breaker = self._breakers.get(member_id)
+        return breaker is None or breaker.is_quiescent
+
+    def snapshot(self) -> dict[int, str]:
+        """Health state of every listed member (see :meth:`_member_ids`)."""
+        return {mid: self.state(mid).value for mid in self._member_ids()}
+
+    def members_in(self, state: HealthState) -> list[int]:
+        """Listed member ids currently in the given state, sorted."""
+        return sorted(
+            mid for mid in self._member_ids() if self.state(mid) is state
+        )
+
+    # ------------------------------------------------------------------
+    # Observations / transitions
+    # ------------------------------------------------------------------
+    def observe_success(self, member_id: int) -> None:
+        """A read from the member succeeded (closes the breaker; a
+        suspect member whose probe succeeded returns to healthy)."""
+        breaker = self.breaker(member_id)
+        was_open = breaker.is_open
+        breaker.record_success()
+        if was_open and self.obs.enabled:
+            self.obs.event(
+                self.event_prefix + "breaker.probe",
+                **{self.member_key: self._label(member_id)},
+                ok=True,
+            )
+        if self.state(member_id) is HealthState.SUSPECT:
+            self._transition(member_id, HealthState.HEALTHY)
+
+    def observe_failure(self, member_id: int, round_index: int) -> None:
+        """A read from the member failed; trips the breaker after K in a
+        row, demoting the member to suspect."""
+        breaker = self.breaker(member_id)
+        tripped = breaker.record_failure(round_index)
+        if tripped and self.obs.enabled:
+            self.obs.event(
+                self.event_prefix + "breaker.trip",
+                **{self.member_key: self._label(member_id)},
+                round=round_index,
+                trips=breaker.trips,
+                cooldown=breaker.current_cooldown,
+            )
+        if tripped and self.state(member_id) is HealthState.HEALTHY:
+            self._transition(member_id, HealthState.SUSPECT)
+
+    def mark_dead(self, member_id: int) -> None:
+        """The member died (its data is unreachable until rebuilt)."""
+        if self.state(member_id) is not HealthState.DEAD:
+            self._transition(member_id, HealthState.DEAD)
+
+    def begin_rebuild(self, member_id: int) -> None:
+        """A rebuild of the dead member started."""
+        state = self.state(member_id)
+        if state is not HealthState.DEAD:
+            raise HealthTransitionError(
+                f"{self.member_key} {member_id} is {state.value}, not "
+                f"dead; only dead {self.member_key}s can begin rebuilding"
+            )
+        self._transition(member_id, HealthState.REBUILDING)
+
+    def mark_healthy(self, member_id: int) -> None:
+        """The suspect (or, when :attr:`rebuilt_in_place`, rebuilt)
+        member is whole again."""
+        state = self.state(member_id)
+        if state is HealthState.DEAD or (
+            state is HealthState.REBUILDING and not self.rebuilt_in_place
+        ):
+            raise HealthTransitionError(
+                f"{self.member_key} {member_id} is {state.value}; "
+                + (
+                    "install a replacement (begin_rebuild) before marking "
+                    "it healthy"
+                    if self.rebuilt_in_place
+                    else f"dead {self.member_key}s are evacuated and "
+                    "detached, not revived"
+                )
+            )
+        self.breaker(member_id).record_success()
+        if state is not HealthState.HEALTHY:
+            self._transition(member_id, HealthState.HEALTHY)
+
+    def new_round(self) -> None:
+        """Advance per-round breaker state (one half-open probe each)."""
+        for breaker in self._breakers.values():
+            breaker.new_round()
+
+    # ------------------------------------------------------------------
+    # Per-layer hooks
+    # ------------------------------------------------------------------
+    def _member_ids(self) -> Iterable[int]:
+        """Ids :meth:`snapshot` and :meth:`members_in` list: every
+        member ever observed, ascending."""
+        return sorted(self._states)
+
+    def _label(self, member_id: int) -> int:
+        """The member's id as event payloads carry it (must be
+        seed-stable, so ``deterministic_view`` comparisons are exact)."""
+        return member_id
+
+    def _transition(self, member_id: int, to: HealthState) -> None:
+        state = self.state(member_id)
+        self.transitions.append((member_id, state, to))
+        self._states[member_id] = to
+        if self.obs.enabled:
+            self.obs.event(
+                self.event_prefix + "health.transition",
+                **{self.member_key: self._label(member_id)},
+                old=state.value,
+                new=to.value,
+            )
+
+
+class DiskHealthMonitor(HealthMonitor):
     """Tracks every disk's health state and circuit breaker.
 
     Parameters
     ----------
     array:
         The disk array being monitored (new disks are picked up lazily).
-    trip_after / cooldown_rounds / max_cooldown_rounds:
-        Breaker tuning, applied to every disk.
-    obs:
-        Optional observability handle; state transitions emit
-        ``health.transition`` events, breaker trips ``breaker.trip``
-        (with the post-trip cooldown) and closing probes
-        ``breaker.probe``.
+    trip_after / cooldown_rounds / max_cooldown_rounds / obs:
+        As for :class:`HealthMonitor`.
     """
+
+    member_key = "disk"
 
     def __init__(
         self,
@@ -192,141 +406,17 @@ class DiskHealthMonitor:
         max_cooldown_rounds: int = 64,
         obs: Optional["ObsHandle"] = None,
     ):
-        from repro.obs import NULL_OBS
-
+        super().__init__(trip_after, cooldown_rounds, max_cooldown_rounds, obs)
         self.array = array
-        self._trip_after = trip_after
-        self._cooldown = cooldown_rounds
-        self._max_cooldown = max_cooldown_rounds
-        self.obs = obs if obs is not None else NULL_OBS
-        self._states: dict[int, DiskHealth] = {}
-        self._breakers: dict[int, CircuitBreaker] = {}
-        #: Cumulative state-transition log: (physical, from, to).
-        self.transitions: list[tuple[int, DiskHealth, DiskHealth]] = []
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def state(self, physical_id: int) -> DiskHealth:
-        """Current health state of a disk (healthy until told otherwise)."""
-        return self._states.get(physical_id, DiskHealth.HEALTHY)
+    #: Physical ids currently in the given state, sorted.
+    disks_in = HealthMonitor.members_in
 
-    def breaker(self, physical_id: int) -> CircuitBreaker:
-        """The disk's circuit breaker (created on first touch)."""
-        breaker = self._breakers.get(physical_id)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self._trip_after, self._cooldown, self._max_cooldown
-            )
-            self._breakers[physical_id] = breaker
-        return breaker
+    def _member_ids(self) -> Iterable[int]:
+        """Every disk currently in the array (healthy by default)."""
+        return self.array.physical_ids
 
-    def is_readable(self, physical_id: int, round_index: int) -> bool:
-        """Whether the serving path may read this disk this round.
-
-        Dead and rebuilding disks never serve; suspect disks serve only
-        the breaker's half-open probe.
-        """
-        state = self.state(physical_id)
-        if state in (DiskHealth.DEAD, DiskHealth.REBUILDING):
-            return False
-        return self.breaker(physical_id).allows(round_index)
-
-    def serves_unimpeded(self, physical_id: int) -> bool:
-        """Whether a successful read from this disk needs no per-read
-        health machinery this round.
-
-        True when the disk is healthy and its breaker (if one was ever
-        created) is quiescent: ``is_readable`` would be True and
-        ``observe_success`` would be a state no-op, so the vectorized
-        degraded path can serve all of the disk's primary reads in one
-        batch.  Deliberately does *not* create a breaker.
-        """
-        if self.state(physical_id) is not DiskHealth.HEALTHY:
-            return False
-        breaker = self._breakers.get(physical_id)
-        return breaker is None or breaker.is_quiescent
-
-    def snapshot(self) -> dict[int, str]:
-        """Health state of every disk currently in the array."""
-        return {
-            pid: self.state(pid).value for pid in self.array.physical_ids
-        }
-
-    def disks_in(self, state: DiskHealth) -> list[int]:
-        """Physical ids currently in the given state, sorted."""
-        return sorted(
-            pid
-            for pid in self.array.physical_ids
-            if self.state(pid) is state
-        )
-
-    # ------------------------------------------------------------------
-    # Observations / transitions
-    # ------------------------------------------------------------------
-    def observe_success(self, physical_id: int) -> None:
-        """A read from the disk succeeded (closes the breaker; a suspect
-        disk whose probe succeeded returns to healthy)."""
-        breaker = self.breaker(physical_id)
-        was_open = breaker.is_open
-        breaker.record_success()
-        if was_open and self.obs.enabled:
-            self.obs.event(
-                "breaker.probe", disk=self._disk_label(physical_id), ok=True
-            )
-        if self.state(physical_id) is DiskHealth.SUSPECT:
-            self._transition(physical_id, DiskHealth.HEALTHY)
-
-    def observe_failure(self, physical_id: int, round_index: int) -> None:
-        """A read from the disk failed; trips the breaker after K in a
-        row, demoting the disk to suspect."""
-        breaker = self.breaker(physical_id)
-        tripped = breaker.record_failure(round_index)
-        if tripped and self.obs.enabled:
-            self.obs.event(
-                "breaker.trip",
-                disk=self._disk_label(physical_id),
-                round=round_index,
-                trips=breaker.trips,
-                cooldown=breaker.current_cooldown,
-            )
-        if tripped and self.state(physical_id) is DiskHealth.HEALTHY:
-            self._transition(physical_id, DiskHealth.SUSPECT)
-
-    def mark_dead(self, physical_id: int) -> None:
-        """The disk died (whole-disk failure at serve time)."""
-        if self.state(physical_id) is not DiskHealth.DEAD:
-            self._transition(physical_id, DiskHealth.DEAD)
-
-    def begin_rebuild(self, physical_id: int) -> None:
-        """A replacement drive was installed in a dead disk's slot; the
-        scrubber now owns driving it back to healthy."""
-        if self.state(physical_id) is not DiskHealth.DEAD:
-            raise HealthTransitionError(
-                f"disk {physical_id} is {self.state(physical_id).value}, "
-                "not dead; only dead disks can begin rebuilding"
-            )
-        self._transition(physical_id, DiskHealth.REBUILDING)
-
-    def mark_healthy(self, physical_id: int) -> None:
-        """Scrub complete: the rebuilding (or suspect) disk is whole."""
-        state = self.state(physical_id)
-        if state is DiskHealth.DEAD:
-            raise HealthTransitionError(
-                f"disk {physical_id} is dead; install a replacement "
-                "(begin_rebuild) before marking it healthy"
-            )
-        breaker = self.breaker(physical_id)
-        breaker.record_success()
-        if state is not DiskHealth.HEALTHY:
-            self._transition(physical_id, DiskHealth.HEALTHY)
-
-    def new_round(self) -> None:
-        """Advance per-round breaker state (one half-open probe each)."""
-        for breaker in self._breakers.values():
-            breaker.new_round()
-
-    def _disk_label(self, physical_id: int) -> int:
+    def _label(self, physical_id: int) -> int:
         """The disk's logical position, for event payloads.
 
         Physical ids come from a process-global counter, so two seeded
@@ -338,18 +428,6 @@ class DiskHealthMonitor:
             return self.array.logical_of(physical_id)
         except KeyError:
             return -1
-
-    def _transition(self, physical_id: int, to: DiskHealth) -> None:
-        state = self.state(physical_id)
-        self.transitions.append((physical_id, state, to))
-        self._states[physical_id] = to
-        if self.obs.enabled:
-            self.obs.event(
-                "health.transition",
-                disk=self._disk_label(physical_id),
-                old=state.value,
-                new=to.value,
-            )
 
 
 @dataclass

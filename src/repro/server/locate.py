@@ -71,23 +71,20 @@ class BackendBatchLocator:
     Caches each object's ``X0`` sequence as a ``uint64`` array on first
     touch (the catalog's seeded sequence is the source of truth, same as
     :meth:`CMServer._x0_of`), groups the batch by object, and resolves
-    logical disks with one ``locate_batch`` call.  Call
-    :meth:`invalidate` after catalog churn or a reshuffle.
+    logical disks with one ``locate_batch`` call.  A reshuffle re-seeds
+    every sequence, so the cache is keyed on the server's reshuffle
+    count and drops itself when that moves.
     """
 
     def __init__(self, server: "CMServer"):
         self.server = server
         self._x0_cache: dict[int, np.ndarray] = {}
-
-    def invalidate(self, object_id: int | None = None) -> None:
-        """Drop cached ``X0`` arrays (all objects when ``object_id`` is
-        ``None``) — required after ``reshuffle()`` re-seeds sequences."""
-        if object_id is None:
-            self._x0_cache.clear()
-        else:
-            self._x0_cache.pop(object_id, None)
+        self._x0_reshuffles = server.reshuffles
 
     def _x0_array(self, object_id: int) -> np.ndarray:
+        if self._x0_reshuffles != self.server.reshuffles:
+            self._x0_cache.clear()
+            self._x0_reshuffles = self.server.reshuffles
         cached = self._x0_cache.get(object_id)
         if cached is None:
             server = self.server

@@ -416,8 +416,6 @@ class RoundScheduler:
         each consumes bandwidth wherever its serving path actually read
         — primary, mirror, or every member of a parity group.
         """
-        from repro.server.health import DiskHealth
-
         planner = self.read_planner
         assert planner is not None
         report = RoundReport(round_index=self._round_index)
@@ -458,12 +456,7 @@ class RoundScheduler:
         # Dead and rebuilding disks have no usable spare bandwidth: the
         # online scaler must not schedule migration transfers on them.
         report.spare_by_physical = {
-            pid: (
-                0
-                if planner.monitor.state(pid)
-                in (DiskHealth.DEAD, DiskHealth.REBUILDING)
-                else left
-            )
+            pid: left if planner.monitor.is_live(pid) else 0
             for pid, left in bandwidth.items()
         }
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -34,6 +35,7 @@ from repro.core.operations import ScalingOp
 from repro.obs import Obs
 from repro.server.cmserver import OperationInFlightError
 from repro.server.streams import StreamState
+from repro.storage.block import BlockId
 from repro.storage.disk import DiskSpec
 
 SPEC = DiskSpec(capacity_blocks=50_000, bandwidth_blocks_per_round=8)
@@ -185,6 +187,30 @@ class TestServing:
         assert stream.stream_id == 7
         with pytest.raises(KeyError):
             coordinator.depart_stream(7)
+
+    def test_batch_locator_follows_reshuffle(self):
+        coordinator = build_cluster(num_shards=1, num_objects=4)
+        [shard_id] = coordinator.shard_ids
+        server = coordinator.shard(shard_id).server
+        locator = coordinator.shard(shard_id).scheduler._batch_locator
+        blocks = [
+            (media.object_id, index)
+            for media in server.catalog
+            for index in range(media.num_blocks)
+        ]
+        oids = np.array([b[0] for b in blocks], dtype=np.int64)
+        idxs = np.array([b[1] for b in blocks], dtype=np.int64)
+
+        def mislocated() -> int:
+            located = locator.locate_physical(oids, idxs).tolist()
+            return sum(
+                pid != server.array.home_of(BlockId(*block))
+                for pid, block in zip(located, blocks)
+            )
+
+        assert mislocated() == 0  # warms the per-object X0 cache
+        assert coordinator.reshuffle_shard(shard_id) > 0
+        assert mislocated() == 0
 
 
 class TestReshard:

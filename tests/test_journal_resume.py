@@ -15,7 +15,12 @@ import pytest
 from repro.core.operations import ScalingOp
 from repro.server.cmserver import CMServer
 from repro.server.fsck import check_layout
-from repro.server.journal import JournalError, LogicalMove, ScalingJournal
+from repro.server.journal import (
+    JournalCorruptionError,
+    JournalError,
+    LogicalMove,
+    ScalingJournal,
+)
 from repro.server.persistence import (
     restore_server,
     resume_server,
@@ -115,6 +120,44 @@ class TestJournalRecords:
         path.write_text('not json\n{"type": "commit", "seq": 1}\n')
         with pytest.raises(JournalError):
             ScalingJournal(path).replay()
+
+    def test_stray_commit_rejected_and_not_written(self, tmp_path):
+        journal = ScalingJournal()
+        with pytest.raises(JournalError):
+            journal.record_commit(5)
+        assert journal.replay() == []
+        path = tmp_path / "scaling.journal"
+        with ScalingJournal(path) as on_disk:
+            on_disk.record_begin(1, ScalingOp.add(1), 4, 5, [])
+            with pytest.raises(JournalError):
+                on_disk.record_apply(2, BlockId(0, 0))
+            on_disk.record_commit(1)
+            with pytest.raises(JournalError):
+                on_disk.record_abort(1)
+        (record,) = ScalingJournal(path).replay()
+        assert record.committed and record.applied == []
+
+    def test_reopened_file_knows_its_open_operation(self, tmp_path):
+        path = tmp_path / "scaling.journal"
+        with ScalingJournal(path) as journal:
+            journal.record_begin(1, ScalingOp.add(1), 4, 5, [])
+        with ScalingJournal(path) as journal:
+            with pytest.raises(JournalError):
+                journal.record_begin(2, ScalingOp.add(1), 5, 6, [])
+            journal.record_commit(1)
+            journal.record_begin(2, ScalingOp.add(1), 5, 6, [])
+        assert [r.committed for r in ScalingJournal(path).replay()] == [
+            True, False,
+        ]
+
+    def test_damaged_interior_begin_names_its_line(self, tmp_path):
+        path = tmp_path / "scaling.journal"
+        path.write_text(
+            '{"type":"begin","seq":1}\n{"type":"commit","seq":1}\n'
+        )
+        with pytest.raises(JournalCorruptionError) as excinfo:
+            ScalingJournal(path).replay()
+        assert excinfo.value.lineno == 1
 
 
 class TestJournaledScaling:

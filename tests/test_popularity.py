@@ -30,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import (
     ClusterCoordinator,
     DemandTracker,
+    ReplicationError,
     ReplicationPolicy,
     check_cluster,
     restore_cluster,
@@ -368,9 +369,8 @@ class TestManifestV3:
 class TestRepairProperties:
     """Repair is idempotent and placement invariants hold under churn."""
 
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_repair_idempotent_under_death_and_readmit(self, data):
+    @staticmethod
+    def churn_cluster() -> ClusterCoordinator:
         coordinator = ClusterCoordinator.create(
             4, 2, SPEC, bits=32, master_seed=0xBEEF,
             router_backend="consistent_hash",
@@ -382,6 +382,35 @@ class TestRepairProperties:
         )
         for i in range(6):
             coordinator.add_object(f"title-{i}", 10)
+        return coordinator
+
+    @staticmethod
+    def repair_all(coordinator: ClusterCoordinator, gids) -> None:
+        """Repair every object; one lost to shard deaths is a typed
+        error naming it, not a bare ``KeyError``."""
+        for gid in gids:
+            if gid in coordinator.object_ids:
+                coordinator.replication.repair(gid)
+            else:
+                with pytest.raises(ReplicationError, match=f"object {gid} "):
+                    coordinator.replication.repair(gid)
+
+    def test_repair_of_lost_object_raises_typed_error(self):
+        # readmit, kill 3, kill 2, readmit: object 5 is declared lost.
+        coordinator = self.churn_cluster()
+        gids = sorted(coordinator.object_ids)
+        coordinator.readmit_shard()
+        for victim in (3, 2):
+            coordinator.kill_shard(victim)
+            self.repair_all(coordinator, gids)
+        coordinator.readmit_shard()
+        assert 5 not in coordinator.object_ids
+        self.repair_all(coordinator, gids)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_repair_idempotent_under_death_and_readmit(self, data):
+        coordinator = self.churn_cluster()
         gids = sorted(coordinator.object_ids)
         manager = coordinator.replication
 
@@ -406,12 +435,14 @@ class TestRepairProperties:
             elif action == "kill":
                 victim = data.draw(st.sampled_from(live), label="victim")
                 coordinator.kill_shard(victim)
-                for gid in gids:
-                    manager.repair(gid)
+                self.repair_all(coordinator, gids)
             else:
                 coordinator.readmit_shard()
 
         for gid in gids:
+            if gid not in coordinator.object_ids:
+                self.repair_all(coordinator, [gid])
+                continue
             manager.repair(gid)
             copies_after_first = manager.copies_of(gid)
             assert manager.repair(gid) == 0  # idempotent
